@@ -3,8 +3,8 @@
 //! The paper is a standards paper — it has no numeric result tables of its own —
 //! so its "evaluation" is the set of claims and proposals in Sections 1–4. Every
 //! function here regenerates one of them as a concrete table. The same functions
-//! back the Criterion benches in `psbench-bench` and the tables recorded in
-//! EXPERIMENTS.md.
+//! back `psbench sweep`, the `bench-snapshot sweep` fingerprints in
+//! `BENCH_sweep.json`, and the tables recorded in EXPERIMENTS.md.
 
 use crate::harness::{
     default_threads, fmt, parallel_map, profile_parallel, run_all_parallel, Table,

@@ -531,7 +531,7 @@ pub fn decode_result(text: &str) -> Result<SimulationResult, CodecError> {
 /// The canonical 64-bit fingerprint of a simulation result: FNV-1a over its
 /// exact encoding. This is the per-cell fingerprint journaled by sweep
 /// ledgers, and the one width-compatible continuation of the table
-/// fingerprints `sweep-bench` snapshots.
+/// fingerprints `bench-snapshot sweep` snapshots.
 pub fn result_fingerprint(r: &SimulationResult) -> u64 {
     crate::fnv::fnv1a_64(encode_result(r).as_bytes())
 }

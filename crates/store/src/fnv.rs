@@ -3,7 +3,7 @@
 //! Two widths share one algorithm:
 //!
 //! * **64-bit** ([`Fnv64`], [`fnv1a_64`], [`fnv1a_64_hex`]) — the table and
-//!   result fingerprints that `sweep-bench` snapshots into
+//!   result fingerprints that `bench-snapshot sweep` snapshots into
 //!   `BENCH_sweep.json`. The helper here is byte-for-byte the hash that tool
 //!   has always computed (same offset basis, same prime, same `{:016x}`
 //!   rendering), so extracting it into this module changes no committed
