@@ -8,6 +8,9 @@
 //!
 //! Each cell runs best-of-`--repeat` (default 1) and becomes one JSON line.
 //! With `--baseline`, result drift fails the run (see [`snapshot::diff`]).
+//! When both outage-slope cells of `sim` ran, a super-linear wall-time ratio
+//! between them prints a warning (see [`suites::outage_slope_warning`]); it
+//! never fails the run.
 
 mod snapshot;
 mod suites;
@@ -89,6 +92,11 @@ fn run(args: Args) -> Result<bool, String> {
             println!("wrote {p}");
         }
         None => print!("{json}"),
+    }
+    if args.name == "sim" {
+        if let Some(w) = suites::outage_slope_warning(&rows) {
+            println!("::warning::bench-snapshot sim: {w}");
+        }
     }
     let Some((path, base)) = baseline else {
         return Ok(true);

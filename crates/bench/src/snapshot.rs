@@ -157,7 +157,8 @@ pub struct Diff {
     pub warnings: Vec<String>,
 }
 
-fn field<'a>(r: &'a Row, key: &str) -> &'a str {
+/// The rendered value of `key` in a cell line, or `(absent)`.
+pub fn field<'a>(r: &'a Row, key: &str) -> &'a str {
     r.iter()
         .find(|(k, _)| k == key)
         .map_or("(absent)", |(_, v)| v)

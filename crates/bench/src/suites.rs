@@ -1,7 +1,7 @@
 //! The three snapshot suites. A cell builds its inputs only when it runs, so
 //! listing a suite's cells costs nothing.
 
-use crate::snapshot::{best_of, millis, rate, row, text, Cell, Row, Suite};
+use crate::snapshot::{best_of, field, millis, rate, row, text, Cell, Row, Suite};
 use psbench_analyze::report::json_num;
 use psbench_core::{experiment_ids, run_experiment, Scale, WorkloadDef, WorkloadKind};
 use psbench_metasim::{run_metasystem, standard_shard_fleet, DispatchPolicy, MetaConfig};
@@ -158,7 +158,36 @@ fn sim(full: bool) -> Vec<Cell> {
             cells.push(sim_cell(name, "greedy-fcfs", engine, Wide, n));
         }
     }
+    // The outage slope runs at both scales, so a quick run watches how the
+    // requeue cost grows and not just one point.
+    for (name, n) in OUTAGE_SLOPE.into_iter().zip([200_000, 400_000]) {
+        cells.push(sim_cell(name.to_string(), "easy", Calendar, Outages, n));
+    }
     cells
+}
+
+/// The outage-slope cells, the second twice the size of the first.
+const OUTAGE_SLOPE: [&str; 2] = ["easy_200k_outages", "easy_400k_outages"];
+
+/// The `wall_ms` ratio of the outage-slope cells above which requeues are
+/// taken to cost more than linear time; linear reads about 2.
+const OUTAGE_SLOPE_LIMIT: f64 = 2.8;
+
+/// A warning when both outage-slope cells ran and their `wall_ms` ratio
+/// exceeds [`OUTAGE_SLOPE_LIMIT`].
+pub fn outage_slope_warning(rows: &[Row]) -> Option<String> {
+    let wall = |name: &str| {
+        let r = rows.iter().find(|r| r[0].1 == text(name))?;
+        field(r, "wall_ms").parse::<f64>().ok()
+    };
+    let (small, large) = (wall(OUTAGE_SLOPE[0])?, wall(OUTAGE_SLOPE[1])?);
+    let ratio = large / small.max(1e-9);
+    (ratio > OUTAGE_SLOPE_LIMIT).then(|| {
+        format!(
+            "outage slope {ratio:.2} > {OUTAGE_SLOPE_LIMIT}: `{}` took {large} ms against {small} ms for `{}` (linear reads about 2)",
+            OUTAGE_SLOPE[1], OUTAGE_SLOPE[0]
+        )
+    })
 }
 
 /// Every experiment table E1..E10, fingerprinted over its title, headers

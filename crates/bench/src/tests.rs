@@ -1,6 +1,6 @@
 use crate::parse_args;
 use crate::snapshot::{diff, parse_row, read, render, row, text, write_row, Row, Suite};
-use crate::suites::suite;
+use crate::suites::{outage_slope_warning, suite};
 
 const BASELINES: [(&str, &str); 3] = [
     ("sim", include_str!("../../../BENCH_sim.json")),
@@ -150,6 +150,23 @@ fn baseline_only_cells_warn_only_at_the_baseline_scale() {
     assert!(d.errors.is_empty() && d.warnings.is_empty(), "{d:?}");
     let d = diff(&s, "full", &baseline("full", &rows), &measured);
     assert!(d.errors.is_empty() && d.warnings.len() == 1, "{d:?}");
+}
+
+#[test]
+fn outage_slope_warns_only_when_both_cells_ran_and_the_ratio_is_super_linear() {
+    let small = cell_row("easy_200k_outages", "1", "1000");
+    let rows = |wall: &str| [small.clone(), cell_row("easy_400k_outages", "2", wall)];
+    assert_eq!(outage_slope_warning(&rows("2100")), None);
+    assert_eq!(outage_slope_warning(&rows("2800")), None);
+    let w = outage_slope_warning(&rows("3700")).expect("3.7 > 2.8");
+    assert!(w.contains("outage slope 3.70 > 2.8"), "{w}");
+    assert_eq!(outage_slope_warning(&rows("3700")[..1]), None);
+    assert_eq!(outage_slope_warning(&rows("3700")[1..]), None);
+    // Both cells are in the quick suite, so CI always computes the slope.
+    let quick = ids("sim", false);
+    assert!(["easy_200k_outages", "easy_400k_outages"]
+        .iter()
+        .all(|id| quick.iter().any(|q| q == id)));
 }
 
 #[test]

@@ -1698,6 +1698,68 @@ mod tests {
     }
 
     #[test]
+    fn preempted_job_heads_a_deep_queue_at_the_next_react() {
+        // Job 1 fills the machine at t=0 and jobs 2..=41 queue behind it.
+        // Preempted at t=50, job 1 re-enters at its original queued_at, ahead
+        // of all 40 later arrivals, and the very next react must see it there.
+        struct PreemptUnderBacklog {
+            preempted: bool,
+            /// At the react after the preemption: the head of `iter()`, the
+            /// head of `iter_keys()`, and job 1's remaining work.
+            seen: Option<(u64, u64, f64)>,
+        }
+        impl Scheduler for PreemptUnderBacklog {
+            fn name(&self) -> &str {
+                "preempt-under-backlog"
+            }
+            fn react(
+                &mut self,
+                ctx: &SchedulerContext<'_>,
+                event: SchedulerEvent,
+            ) -> Vec<Decision> {
+                if self.preempted && self.seen.is_none() {
+                    let head = ctx.queue.iter().next().map(|q| q.job.id);
+                    let key = ctx.queue.iter_keys().next().map(|k| k.id);
+                    let work = ctx.queue.get(1).map(|q| q.job.work);
+                    self.seen = Some((head.unwrap(), key.unwrap(), work.unwrap()));
+                }
+                match event {
+                    SchedulerEvent::JobArrived { job_id: 1 } => {
+                        vec![Decision::start(1), Decision::Wakeup { at: 50.0 }]
+                    }
+                    SchedulerEvent::Timer if !self.preempted => {
+                        assert_eq!(ctx.queue.len(), 40);
+                        self.preempted = true;
+                        vec![
+                            Decision::Preempt { job_id: 1 },
+                            Decision::Wakeup { at: ctx.now + 1.0 },
+                        ]
+                    }
+                    SchedulerEvent::Timer | SchedulerEvent::JobCompleted { .. } => ctx
+                        .queue
+                        .iter_keys()
+                        .next()
+                        .map(|k| vec![Decision::start(k.id)])
+                        .unwrap_or_default(),
+                    _ => Vec::new(),
+                }
+            }
+        }
+        let mut specs = vec![(1, 0.0, 100.0, 64)];
+        specs.extend((2..=41).map(|id| (id, (id - 1) as f64, 10.0, 64)));
+        let mut policy = PreemptUnderBacklog {
+            preempted: false,
+            seen: None,
+        };
+        let result = Simulation::new(SimConfig::new(64), rigid_jobs(&specs)).run(&mut policy);
+        assert_eq!(policy.seen, Some((1, 1, 50.0)));
+        assert_eq!(result.finished.len(), 41);
+        let f1 = result.finished.iter().find(|f| f.id == 1).unwrap();
+        // Resumed at t=51 with its 50 s of remaining work.
+        assert_eq!((f1.first_start, f1.start, f1.end), (0.0, 51.0, 101.0));
+    }
+
+    #[test]
     fn duplicate_wakeups_are_coalesced() {
         // A policy that re-requests the same quantum expiry from every react, the
         // way a quantum-based gang scheduler would: without coalescing the event

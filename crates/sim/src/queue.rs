@@ -13,17 +13,21 @@
 //!   job is pushed at the tail in O(1);
 //! * **removals tombstone**: starting a job marks its slot dead in O(1) via an
 //!   id→slot map (slots never shift), with the dead prefix skipped eagerly and
-//!   the whole vector compacted amortized-O(1) once tombstones outnumber live
-//!   jobs;
-//! * **out-of-order pushes walk back from the tail**: same-instant arrivals
-//!   whose ids land out of order (closed-loop dependency releases) insert a
-//!   few slots from the end at O(cluster) cost, and a genuine requeue (outage
-//!   kill, preemption) pays O(distance) to return to its original
-//!   `(queued_at, id)` position — only the shifted suffix is touched, never
-//!   the whole vector;
+//!   the whole vector compacted, amortized O(1), once tombstones exceed a
+//!   quarter of the live jobs plus 32;
+//! * **out-of-order pushes go to a sorted side run**: a job keyed at or below
+//!   the main run's high-water key — an outage kill or preemption returning
+//!   to its original `(queued_at, id)` position, or a same-instant
+//!   closed-loop release whose id lands out of order — enters a small
+//!   `BTreeMap` in O(log s) and never shifts the main run. The side run
+//!   holds at most `32 + len/8` jobs; one more merges it into the main run
+//!   by an in-place backward merge, so a requeue costs O(log s) plus
+//!   amortized O(1);
 //! * **iteration is a contiguous scan** over the slot vector, skipping
-//!   tombstones: policies consume the queue in sorted order at slice speed, no
-//!   sort, no per-react allocation, and head-of-queue policies can stop early.
+//!   tombstones and merging in the side run: policies consume the queue in
+//!   sorted order at slice speed, no sort, no per-react allocation, and
+//!   head-of-queue policies can stop early. Main-run keys are compared only
+//!   while side-run jobs remain to be placed.
 //!
 //! # The backlog index
 //!
@@ -33,7 +37,7 @@
 //! therefore also maintains a **secondary index over the scheduling keys**:
 //! one **treap per requested-`procs` value**, keyed by the arrival pair
 //! `(queued_at, id)` and augmented with the **minimum estimate of every
-//! subtree**, kept incrementally consistent with the arrival-ordered array by
+//! subtree**, kept incrementally consistent with the arrival-ordered runs by
 //! every mutation (push/tombstone/requeue; compaction never touches it, the
 //! index is keyed by job values, not slot positions). The augmentation is the
 //! load-bearing part: "the next job of this width, in arrival order, whose
@@ -596,16 +600,70 @@ fn convert_stairs(stairs: &[(u32, f64)]) -> Vec<(u32, u64)> {
         .collect()
 }
 
+/// A side-run entry: the job's compact key and the job, keyed in the side
+/// run by `(queued_at bits, id)`.
+type SideEntry = (QueueKey, QueuedJob);
+
+/// A live entry of either run, as [`Merged`] yields it. A main-run entry
+/// carries its slot unread, so a key-only scan never loads the full job.
+enum At<'a> {
+    Main(&'a QueueKey, &'a Option<QueuedJob>),
+    Side(&'a SideEntry),
+}
+
+/// The live entries of the main run and the side run, merged in
+/// `(queued_at, id)` order. A main slot's key is read only while the side
+/// run still has entries to place; after that the scan is the plain
+/// tombstone-skipping walk over the key array.
+struct Merged<'a> {
+    main: std::iter::Zip<std::slice::Iter<'a, QueueKey>, std::slice::Iter<'a, Option<QueuedJob>>>,
+    side: std::iter::Peekable<std::collections::btree_map::Iter<'a, (u64, u64), SideEntry>>,
+    /// The next live main entry, pulled while a side entry came first.
+    held: Option<(&'a QueueKey, &'a Option<QueuedJob>)>,
+}
+
+impl<'a> Iterator for Merged<'a> {
+    type Item = At<'a>;
+
+    fn next(&mut self) -> Option<At<'a>> {
+        let main = self
+            .held
+            .take()
+            .or_else(|| self.main.find(|(k, _)| k.procs != 0));
+        let Some(&(&side_key, entry)) = self.side.peek() else {
+            return main.map(|(k, s)| At::Main(k, s));
+        };
+        match main {
+            Some((k, s)) if key_of(s.as_ref().expect("live slot")) < side_key => {
+                Some(At::Main(k, s))
+            }
+            main => {
+                self.held = main;
+                self.side.next();
+                Some(At::Side(entry))
+            }
+        }
+    }
+}
+
 /// The wait queue, iterated in `(queued_at, job id)` order.
 #[derive(Debug, Clone, Default)]
 pub struct JobQueue {
-    /// Live jobs in key order, with tombstones left by removals.
+    /// The main run: live jobs in key order, with tombstones left by
+    /// removals. Only ever appended to or tombstoned, so entries never shift
+    /// between compactions.
     slots: Vec<Option<QueuedJob>>,
     /// Compact scheduling keys, mirroring `slots` tombstone-for-tombstone
     /// (`procs == 0` marks a dead entry).
     keys: Vec<QueueKey>,
-    /// Job id → slot position (stable until a compaction).
+    /// Job id → main-run slot position (stable until a compaction).
     index: HashMap<u64, usize>,
+    /// The side run: jobs pushed at or below `max_key` (requeues and
+    /// out-of-order releases), sorted by `(queued_at bits, id)` and merged
+    /// into the main run by iteration and, in bulk, by compaction.
+    side: BTreeMap<(u64, u64), SideEntry>,
+    /// Job id → `queued_at` bits of a side-run job, completing its side key.
+    side_index: HashMap<u64, u64>,
     /// The backlog index: per-`procs` bucket treaps (roots into `arena`),
     /// one entry per live job, keyed by arrival order and augmented with
     /// subtree minimum estimates (see the module docs for the invariants).
@@ -619,9 +677,10 @@ pub struct JobQueue {
     /// Live-job count per requested width (`procs → count`), maintained
     /// alongside the bucket treaps; iterating it is O(distinct widths).
     widths: BTreeMap<u32, u32>,
-    /// First slot that may be live (everything before it is dead).
+    /// First main-run slot that may be live (everything before it is dead).
     head: usize,
-    /// Largest key ever appended; new keys above it may use the O(1) tail path.
+    /// Largest key ever appended to the main run; a push above it appends,
+    /// anything else goes to the side run.
     max_key: Option<(u64, u64)>,
 }
 
@@ -633,31 +692,52 @@ impl JobQueue {
 
     /// Number of queued jobs.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.index.len() + self.side.len()
     }
 
     /// True if nothing is queued.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len() == 0
+    }
+
+    fn merged(&self) -> Merged<'_> {
+        Merged {
+            main: self.keys[self.head..].iter().zip(&self.slots[self.head..]),
+            side: self.side.iter().peekable(),
+            held: None,
+        }
     }
 
     /// The queued jobs in `(queued_at, job id)` order — arrival order, with
     /// requeued (preempted / outage-killed) jobs back at their original
     /// position. Head-of-queue policies can stop iterating early.
     pub fn iter(&self) -> impl Iterator<Item = &QueuedJob> {
-        self.slots[self.head..].iter().filter_map(Option::as_ref)
+        self.merged().map(|at| match at {
+            At::Main(_, s) => s.as_ref().expect("live slot"),
+            At::Side((_, q)) => q,
+        })
     }
 
     /// The queued jobs' compact [`QueueKey`]s, in the same `(queued_at, id)`
     /// order as [`Self::iter`]. This is the fast path for policies that scan
     /// deep queues: ~3× less memory traffic than iterating full jobs.
     pub fn iter_keys(&self) -> impl Iterator<Item = &QueueKey> {
-        self.keys[self.head..].iter().filter(|k| k.procs != 0)
+        self.merged().map(|at| match at {
+            At::Main(k, _) => k,
+            At::Side((k, _)) => k,
+        })
     }
 
-    /// Look up a queued job by id, O(1).
+    /// Look up a queued job by id, O(1) for a main-run job and O(log s) for
+    /// one of the `s` side-run jobs.
     pub fn get(&self, id: u64) -> Option<&QueuedJob> {
-        self.index.get(&id).and_then(|&i| self.slots[i].as_ref())
+        match self.index.get(&id) {
+            Some(&i) => self.slots[i].as_ref(),
+            None => {
+                let &arr = self.side_index.get(&id)?;
+                self.side.get(&(arr, id)).map(|(_, q)| q)
+            }
+        }
     }
 
     /// Total processors demanded by all queued jobs, O(1). Maintained
@@ -828,10 +908,14 @@ impl JobQueue {
         scan
     }
 
-    /// Insert a job (ids must be unique within the queue). O(log n): amortized
-    /// O(1) slot append for keys in arrival order (the overwhelmingly common
-    /// case) plus the backlog-index insert; a requeue below the high-water key
-    /// pays a compacting sorted insert.
+    /// Insert a job (ids must be unique within the queue). O(log n): a key
+    /// above the main run's high-water key (an arrival, the overwhelmingly
+    /// common case) appends in amortized O(1); any other key (an outage
+    /// requeue, a preemption, a closed-loop release whose id lands out of
+    /// order) goes to the side run in O(log s). Both pay the backlog-index
+    /// insert. The side run holds at most `32 + len/8` jobs: one more merges
+    /// it into the main run in O(n), so a side push costs amortized O(1) on
+    /// top of its O(log s).
     pub(crate) fn push(&mut self, q: QueuedJob) {
         let procs = q.job.procs;
         self.demanded += procs as u64;
@@ -846,87 +930,94 @@ impl JobQueue {
             self.keys.push(QueueKey::of(&q));
             self.slots.push(Some(q));
         } else {
-            self.insert_sorted(q, key);
+            self.side_index.insert(q.job.id, key.0);
+            self.side.insert(key, (QueueKey::of(&q), q));
+            self.compact_if_due();
         }
     }
 
-    /// Remove a job by id. O(log n) amortized (tombstone plus backlog-index
-    /// removal plus occasional compaction).
+    /// Remove a job by id. O(log n) amortized: a main-run job is tombstoned
+    /// in O(1) (plus an occasional compaction), a side-run job leaves the
+    /// side run in O(log s), and both pay the backlog-index removal.
     pub(crate) fn remove(&mut self, id: u64) -> Option<QueuedJob> {
-        let i = self.index.remove(&id)?;
-        let q = self.slots[i].take();
-        if let Some(job) = &q {
-            let procs = job.job.procs;
-            self.demanded -= procs as u64;
-            if let Some(count) = self.widths.get_mut(&procs) {
-                *count -= 1;
-                if *count == 0 {
-                    self.widths.remove(&procs);
+        let q = match self.index.remove(&id) {
+            Some(i) => {
+                let q = self.slots[i].take().expect("indexed slot is live");
+                self.keys[i] = QueueKey::TOMBSTONE;
+                while self.head < self.slots.len() && self.slots[self.head].is_none() {
+                    self.head += 1;
                 }
+                q
             }
-            if let Some(&root) = self.by_procs.get(&procs) {
-                let (arr, jid, _) = index_entry(job);
-                let root = self.arena.remove(root, (arr, jid));
-                if root == NIL {
-                    self.by_procs.remove(&procs);
-                } else {
-                    self.by_procs.insert(procs, root);
-                }
+            None => {
+                let arr = self.side_index.remove(&id)?;
+                self.side.remove(&(arr, id)).expect("side_index agrees").1
+            }
+        };
+        let procs = q.job.procs;
+        self.demanded -= procs as u64;
+        if let Some(count) = self.widths.get_mut(&procs) {
+            *count -= 1;
+            if *count == 0 {
+                self.widths.remove(&procs);
             }
         }
-        self.keys[i] = QueueKey::TOMBSTONE;
-        while self.head < self.slots.len() && self.slots[self.head].is_none() {
-            self.head += 1;
+        if let Some(&root) = self.by_procs.get(&procs) {
+            let (arr, jid, _) = index_entry(&q);
+            let root = self.arena.remove(root, (arr, jid));
+            if root == NIL {
+                self.by_procs.remove(&procs);
+            } else {
+                self.by_procs.insert(procs, root);
+            }
         }
-        // Keep scans tight: iteration cost is proportional to live + dead, so
-        // compact once tombstones reach a quarter of the live population.
-        if self.slots.len() - self.head > self.index.len() + self.index.len() / 4 + 32 {
+        self.compact_if_due();
+        Some(q)
+    }
+
+    /// Compact when either run has outgrown its bound: the main run's
+    /// tombstones exceed a quarter of its live jobs plus 32 (iteration cost
+    /// is proportional to live + dead), or the side run exceeds
+    /// `32 + len/8` jobs (a merge step per main entry while it lasts).
+    fn compact_if_due(&mut self) {
+        let dead = self.slots.len() - self.head - self.index.len();
+        if dead > self.index.len() / 4 + 32 || self.side.len() > 32 + self.len() / 8 {
             self.compact();
         }
-        q
     }
 
-    /// Drop tombstones and rebuild the id→slot map.
+    /// Drop tombstones, merge the side run into the main run, and rebuild
+    /// the id→slot map, in place and in O(n + s): after `retain`, the
+    /// vectors grow by the side run's length and a backward merge fills them
+    /// from the end, moving each main entry at most once.
     fn compact(&mut self) {
         self.slots.retain(Option::is_some);
         self.keys.retain(|k| k.procs != 0);
         self.head = 0;
+        self.side_index.clear();
+        let side = std::mem::take(&mut self.side);
+        let mut src = self.slots.len();
+        let total = src + side.len();
+        self.slots.resize_with(total, || None);
+        self.keys.resize(total, QueueKey::TOMBSTONE);
+        // Slots in `src..dst` are holes; each step moves a main entry or
+        // places a side entry into the hole just below `dst`.
+        let mut dst = total;
+        for (key, (k, q)) in side.into_iter().rev() {
+            while src > 0 && key_of(self.slots[src - 1].as_ref().expect("retained")) > key {
+                src -= 1;
+                dst -= 1;
+                self.slots.swap(src, dst);
+                self.keys[dst] = self.keys[src];
+            }
+            dst -= 1;
+            self.slots[dst] = Some(q);
+            self.keys[dst] = k;
+        }
         self.index.clear();
         for (i, s) in self.slots.iter().enumerate() {
-            self.index
-                .insert(s.as_ref().expect("retained Some").job.id, i);
+            self.index.insert(s.as_ref().expect("merged").job.id, i);
         }
-    }
-
-    /// The out-of-order path: place a job below the high-water key at its
-    /// sorted position. Walks back from the tail, so the cost is the distance
-    /// to the insertion point — O(cluster) for the common case (same-instant
-    /// closed-loop releases whose ids arrive out of order land within a few
-    /// slots of the end), O(n) only for a genuine deep requeue (outage kill /
-    /// preemption putting a job back near its original position). Only the
-    /// shifted suffix has its id→slot entries fixed up; the seed
-    /// implementation densified the whole vector and rebuilt the entire map
-    /// per insert, which turned saturated closed-loop runs quadratic.
-    fn insert_sorted(&mut self, q: QueuedJob, key: (u64, u64)) {
-        let mut pos = self.slots.len();
-        while pos > self.head {
-            match &self.slots[pos - 1] {
-                Some(j) if key_of(j) > key => pos -= 1,
-                Some(_) => break,
-                // Dead slots carry no order; passing them only means they end
-                // up after the new entry, which cannot disturb the live order.
-                None => pos -= 1,
-            }
-        }
-        self.keys.insert(pos, QueueKey::of(&q));
-        let id = q.job.id;
-        self.slots.insert(pos, Some(q));
-        for i in pos + 1..self.slots.len() {
-            if let Some(j) = &self.slots[i] {
-                self.index.insert(j.job.id, i);
-            }
-        }
-        self.index.insert(id, pos);
     }
 
     #[cfg(debug_assertions)]
@@ -934,10 +1025,13 @@ impl JobQueue {
         debug_assert!(self.slots[..self.head].iter().all(Option::is_none));
         debug_assert_eq!(self.slots.len(), self.keys.len());
         let live: Vec<&QueuedJob> = self.iter().collect();
-        debug_assert_eq!(live.len(), self.index.len());
+        debug_assert_eq!(live.len(), self.len());
         for w in live.windows(2) {
             debug_assert!(key_of(w[0]) < key_of(w[1]), "queue out of order");
         }
+        let keys: Vec<QueueKey> = self.iter_keys().copied().collect();
+        let of_live: Vec<QueueKey> = live.iter().map(|q| QueueKey::of(q)).collect();
+        debug_assert_eq!(keys, of_live, "iter_keys disagrees with iter");
         for (id, &i) in &self.index {
             debug_assert_eq!(self.slots[i].as_ref().map(|q| q.job.id), Some(*id));
         }
@@ -948,6 +1042,23 @@ impl JobQueue {
                 "keys out of sync with slots"
             );
         }
+        // Side-run invariants: sorted by construction (a BTreeMap) under
+        // keys that agree with its jobs, mirrored exactly by `side_index`,
+        // below the main run's high-water key, disjoint from the main run,
+        // and within its size bound.
+        for (&key, (k, q)) in &self.side {
+            debug_assert_eq!(key, key_of(q), "side key disagrees with its job");
+            debug_assert_eq!(*k, QueueKey::of(q), "side QueueKey out of sync");
+            debug_assert_eq!(self.side_index.get(&q.job.id), Some(&key.0));
+            debug_assert!(self.max_key.is_some_and(|m| key <= m));
+            debug_assert!(
+                !self.index.contains_key(&q.job.id),
+                "job {} in both runs",
+                q.job.id
+            );
+        }
+        debug_assert_eq!(self.side_index.len(), self.side.len());
+        debug_assert!(self.side.len() <= 32 + self.len() / 8);
         // Backlog-index invariants: one treap entry per live job in its
         // procs bucket, no stale entries, no empty buckets, exact min_est
         // pull-ups, arrival-sorted in-order traversal.
@@ -956,7 +1067,7 @@ impl JobQueue {
             .values()
             .map(|&root| self.arena.count(root))
             .sum();
-        debug_assert_eq!(indexed, self.index.len(), "backlog index size drifted");
+        debug_assert_eq!(indexed, self.len(), "backlog index size drifted");
         let live_demand: u64 = live.iter().map(|q| q.job.procs as u64).sum();
         debug_assert_eq!(
             self.demanded, live_demand,
@@ -1111,6 +1222,29 @@ mod tests {
         // A requeue lands back in the middle of the survivors.
         q.push(queued(100, 99.0));
         assert_eq!(q.iter().nth(10).unwrap().job.id, 100);
+        q.check_invariants();
+    }
+
+    #[test]
+    fn side_run_merges_back_once_over_its_bound() {
+        let mut q = JobQueue::new();
+        for i in 0..200u64 {
+            q.push(queued(i + 1, i as f64));
+        }
+        // The 60 oldest jobs start, then all return, youngest first: each
+        // lands in the side run until it outgrows 32 + len/8 jobs (at the
+        // 57th, with 197 queued) and merges back into the main run.
+        let started: Vec<QueuedJob> = (1..=60).map(|id| q.remove(id).unwrap()).collect();
+        for (n, j) in started.into_iter().rev().enumerate() {
+            q.push(j);
+            let side = if n < 56 { n + 1 } else { n - 56 };
+            assert_eq!(q.side.len(), side, "after {} requeues", n + 1);
+            q.check_invariants();
+        }
+        assert_eq!(ids(&q), (1..=200).collect::<Vec<u64>>());
+        assert_eq!(q.get(2).unwrap().job.id, 2);
+        assert_eq!(q.remove(2).unwrap().job.id, 2);
+        assert!(q.get(2).is_none());
         q.check_invariants();
     }
 
@@ -1287,6 +1421,76 @@ mod tests {
                 let want = filtered_scan(&q, wide, wide_est, 0, None);
                 proptest::prop_assert_eq!(got, want);
             }
+        }
+
+        /// Requeue-heavy churn — requeue ops at least as common as arrival
+        /// ops, each op moving a batch of up to six jobs like a completion
+        /// batch or an outage kill, long enough to cross both compaction
+        /// triggers (main-run tombstones and side-run size) — against a
+        /// sorted-map model: after every op, `iter`, `iter_keys`, `get` and
+        /// `len` agree with it.
+        #[test]
+        fn requeue_heavy_churn_matches_sorted_model(
+            ops in proptest::collection::vec(
+                (0u8..8, 0u32..40, 1u32..24, 0u32..1000),
+                200..400,
+            ),
+        ) {
+            let mut q = JobQueue::new();
+            let mut model: BTreeMap<(u64, u64), QueuedJob> = BTreeMap::new();
+            let mut running: Vec<QueuedJob> = Vec::new();
+            let mut clock = 0.0f64;
+            let mut next_id = 1u64;
+            for (step, (op, dt, procs, pick)) in ops.into_iter().enumerate() {
+                let batch = 1 + pick % 6;
+                match op {
+                    // Arrivals (2 in 8): monotone queued_at, fresh ids.
+                    0 | 1 => {
+                        for _ in 0..batch {
+                            clock += dt as f64 / 8.0;
+                            let j = queued_with(next_id, clock, procs, dt as f64);
+                            next_id += 1;
+                            model.insert(key_of(&j), j.clone());
+                            q.push(j);
+                        }
+                    }
+                    // Starts (3 in 8): live jobs leave the queue from spread
+                    // positions, tombstoning the main run.
+                    2..=4 => {
+                        for k in 0..batch {
+                            if model.is_empty() {
+                                break;
+                            }
+                            let at = (pick * 7 + k * 13) as usize % model.len();
+                            let id = q.iter().nth(at).unwrap().job.id;
+                            let j = q.remove(id).unwrap();
+                            proptest::prop_assert_eq!(model.remove(&key_of(&j)).as_ref(), Some(&j));
+                            running.push(j);
+                        }
+                    }
+                    // Requeues (3 in 8): started jobs return at their
+                    // original queued_at, below the high-water key.
+                    _ => {
+                        for _ in 0..batch {
+                            if running.is_empty() {
+                                break;
+                            }
+                            let j = running.swap_remove(pick as usize % running.len());
+                            model.insert(key_of(&j), j.clone());
+                            q.push(j);
+                        }
+                    }
+                }
+                proptest::prop_assert_eq!(q.len(), model.len());
+                proptest::prop_assert!(q.iter().map(key_of).eq(model.keys().copied()));
+                proptest::prop_assert!(q.iter_keys().copied().eq(model.values().map(QueueKey::of)));
+                proptest::prop_assert!(model.iter().all(|(&k, j)| q.get(j.job.id).map(key_of) == Some(k)));
+                proptest::prop_assert!(running.iter().all(|j| q.get(j.job.id).is_none()));
+                if step % 16 == 0 {
+                    q.check_invariants();
+                }
+            }
+            q.check_invariants();
         }
     }
 }
