@@ -8,9 +8,10 @@
 //!
 //! Each cell runs best-of-`--repeat` (default 1) and becomes one JSON line.
 //! With `--baseline`, result drift fails the run (see [`snapshot::diff`]).
-//! When both outage-slope cells of `sim` ran, a super-linear wall-time ratio
-//! between them prints a warning (see [`suites::outage_slope_warning`]); it
-//! never fails the run.
+//! When both outage-slope cells of `sim` (or both reserve-slope cells of
+//! `meta`) ran, a super-linear wall-time ratio between them prints a warning
+//! (see [`suites::outage_slope_warning`] and
+//! [`suites::reserve_slope_warning`]); it never fails the run.
 
 mod snapshot;
 mod suites;
@@ -93,10 +94,13 @@ fn run(args: Args) -> Result<bool, String> {
         }
         None => print!("{json}"),
     }
-    if args.name == "sim" {
-        if let Some(w) = suites::outage_slope_warning(&rows) {
-            println!("::warning::bench-snapshot sim: {w}");
-        }
+    let slope = match args.name.as_str() {
+        "sim" => suites::outage_slope_warning(&rows),
+        "meta" => suites::reserve_slope_warning(&rows),
+        _ => None,
+    };
+    if let Some(w) = slope {
+        println!("::warning::bench-snapshot {}: {w}", args.name);
     }
     let Some((path, base)) = baseline else {
         return Ok(true);

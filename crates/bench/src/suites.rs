@@ -169,23 +169,37 @@ fn sim(full: bool) -> Vec<Cell> {
 /// The outage-slope cells, the second twice the size of the first.
 const OUTAGE_SLOPE: [&str; 2] = ["easy_200k_outages", "easy_400k_outages"];
 
-/// The `wall_ms` ratio of the outage-slope cells above which requeues are
+/// The reserve-dispatch slope cells of `meta`, the second twice the size of
+/// the first.
+const RESERVE_SLOPE: [&str; 2] = ["s16-j20000-reserve", "s16-j40000-reserve"];
+
+/// The `wall_ms` ratio of a pair of slope cells above which their path is
 /// taken to cost more than linear time; linear reads about 2.
-const OUTAGE_SLOPE_LIMIT: f64 = 2.8;
+const SLOPE_LIMIT: f64 = 2.8;
 
 /// A warning when both outage-slope cells ran and their `wall_ms` ratio
-/// exceeds [`OUTAGE_SLOPE_LIMIT`].
+/// exceeds [`SLOPE_LIMIT`].
 pub fn outage_slope_warning(rows: &[Row]) -> Option<String> {
+    slope_warning(rows, "outage", OUTAGE_SLOPE)
+}
+
+/// A warning when both reserve-slope cells ran and their `wall_ms` ratio
+/// exceeds [`SLOPE_LIMIT`].
+pub fn reserve_slope_warning(rows: &[Row]) -> Option<String> {
+    slope_warning(rows, "reserve", RESERVE_SLOPE)
+}
+
+fn slope_warning(rows: &[Row], what: &str, cells: [&str; 2]) -> Option<String> {
     let wall = |name: &str| {
         let r = rows.iter().find(|r| r[0].1 == text(name))?;
         field(r, "wall_ms").parse::<f64>().ok()
     };
-    let (small, large) = (wall(OUTAGE_SLOPE[0])?, wall(OUTAGE_SLOPE[1])?);
+    let (small, large) = (wall(cells[0])?, wall(cells[1])?);
     let ratio = large / small.max(1e-9);
-    (ratio > OUTAGE_SLOPE_LIMIT).then(|| {
+    (ratio > SLOPE_LIMIT).then(|| {
         format!(
-            "outage slope {ratio:.2} > {OUTAGE_SLOPE_LIMIT}: `{}` took {large} ms against {small} ms for `{}` (linear reads about 2)",
-            OUTAGE_SLOPE[1], OUTAGE_SLOPE[0]
+            "{what} slope {ratio:.2} > {SLOPE_LIMIT}: `{}` took {large} ms against {small} ms for `{}` (linear reads about 2)",
+            cells[1], cells[0]
         )
     })
 }
@@ -247,10 +261,13 @@ fn meta_cell(sites: usize, jobs: usize, dispatch: DispatchPolicy) -> Cell {
 }
 
 /// Every dispatch policy over a 16-site fleet (the policy-semantics guard),
-/// then fleet-size scaling under least-pressure (the throughput guard).
+/// reserve dispatch again at twice the jobs (the reserve slope, at both
+/// scales), then fleet-size scaling under least-pressure (the throughput
+/// guard).
 fn meta(full: bool) -> Vec<Cell> {
     let policies = DispatchPolicy::all().iter();
     let mut cells: Vec<Cell> = policies.map(|&d| meta_cell(16, 20_000, d)).collect();
+    cells.push(meta_cell(16, 40_000, DispatchPolicy::Reserve));
     for &(sites, jobs) in scaled(full, &[(64, 50_000), (256, 250_000), (1000, 1_000_000)]) {
         cells.push(meta_cell(sites, jobs, DispatchPolicy::LeastPressure));
     }

@@ -1,6 +1,6 @@
 use crate::parse_args;
 use crate::snapshot::{diff, parse_row, read, render, row, text, write_row, Row, Suite};
-use crate::suites::{outage_slope_warning, suite};
+use crate::suites::{outage_slope_warning, reserve_slope_warning, suite};
 
 const BASELINES: [(&str, &str); 3] = [
     ("sim", include_str!("../../../BENCH_sim.json")),
@@ -167,6 +167,26 @@ fn outage_slope_warns_only_when_both_cells_ran_and_the_ratio_is_super_linear() {
     assert!(["easy_200k_outages", "easy_400k_outages"]
         .iter()
         .all(|id| quick.iter().any(|q| q == id)));
+}
+
+#[test]
+fn reserve_slope_warns_only_when_both_cells_ran_and_the_ratio_is_super_linear() {
+    let small = cell_row("s16-j20000-reserve", "1", "100");
+    let rows = |wall: &str| [small.clone(), cell_row("s16-j40000-reserve", "2", wall)];
+    assert_eq!(reserve_slope_warning(&rows("210")), None);
+    assert_eq!(reserve_slope_warning(&rows("280")), None);
+    let w = reserve_slope_warning(&rows("390")).expect("3.9 > 2.8");
+    assert!(w.contains("reserve slope 3.90 > 2.8"), "{w}");
+    assert!(w.contains("`s16-j40000-reserve` took 390 ms"), "{w}");
+    assert_eq!(reserve_slope_warning(&rows("390")[..1]), None);
+    assert_eq!(reserve_slope_warning(&rows("390")[1..]), None);
+    // Both cells run at both scales, so CI always computes the slope.
+    for full in [false, true] {
+        let cells = ids("meta", full);
+        assert!(["s16-j20000-reserve", "s16-j40000-reserve"]
+            .iter()
+            .all(|id| cells.iter().any(|c| c == id)));
+    }
 }
 
 #[test]

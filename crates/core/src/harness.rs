@@ -73,7 +73,7 @@ pub fn fmt(v: f64) -> String {
 // The pool itself lives in the `psbench-harness` leaf crate so the metasystem
 // shard loop (`psbench_metasim::epoch`) can share it without a dependency
 // cycle; re-exported here so existing callers keep their import paths.
-pub use psbench_harness::{default_threads, parallel_map, parallel_map_mut};
+pub use psbench_harness::{default_threads, parallel_map};
 
 /// Run a batch of scenarios sequentially, returning `(scenario, result)` pairs in
 /// input order.

@@ -17,7 +17,9 @@ use crate::shard::Shard;
 use psbench_sim::SimJob;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BinaryHeap};
+use std::ops::Bound::{Excluded, Unbounded};
 
 /// How the metascheduler routes each arriving job to a site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -32,8 +34,8 @@ pub enum DispatchPolicy {
     /// up site only during outages.
     Affinity,
     /// Reservation-based co-allocation: probe a deterministic power-of-k
-    /// choice of candidate sites' advisory calendars via `try_reserve` and
-    /// book the earliest feasible window.
+    /// choice of candidate sites' advisory calendars and book the earliest
+    /// feasible window.
     Reserve,
 }
 
@@ -181,9 +183,11 @@ impl Dispatcher {
                         continue;
                     }
                     let shard = &shards[cand];
-                    let procs = job.procs.min(shard.spec.procs).max(1);
-                    let dur = shard.scaled_runtime(job.estimate.max(job.work)).max(1.0);
-                    let start = earliest_window(shard, now, dur, procs).unwrap_or(f64::MAX);
+                    let (procs, dur) = reserve_request(shard, job);
+                    let start = shard
+                        .calendar
+                        .earliest_window(now, dur, procs, shard.spec.procs)
+                        .unwrap_or(f64::MAX);
                     let key = (start.to_bits(), shard.spec.id, cand);
                     if best.is_none_or(|b| key < b) {
                         best = Some(key);
@@ -191,13 +195,19 @@ impl Dispatcher {
                 }
                 let (start_bits, _, chosen) = best?;
                 let shard = &mut shards[chosen];
-                let procs = job.procs.min(shard.spec.procs).max(1);
-                let dur = shard.scaled_runtime(job.estimate.max(job.work)).max(1.0);
+                let (procs, dur) = reserve_request(shard, job);
                 let start = f64::from_bits(start_bits);
                 if start < f64::MAX {
-                    // Advisory booking; a full calendar just means the site
-                    // absorbs the job through its queue like any other.
-                    let _ = shard.calendar.try_reserve(start, start + dur, procs);
+                    // The probe only returns windows that fit, so the booking
+                    // needs no capacity check of its own.
+                    debug_assert_eq!(
+                        shard
+                            .calendar
+                            .earliest_window(start, dur, procs, shard.spec.procs),
+                        Some(start),
+                        "probed window no longer fits"
+                    );
+                    shard.calendar.book(start, start + dur, procs);
                 }
                 Some(chosen)
             }
@@ -214,68 +224,125 @@ impl Dispatcher {
     }
 }
 
-/// The earliest window at or after `from` where the shard's advisory
-/// calendar can hold `procs` processors for `dur` seconds, or `None` when
-/// nothing fits within [`RESERVE_HORIZON`].
+/// The processors and seconds a reserve-dispatched `job` asks of `shard`:
+/// its request clamped to the machine, and its estimate at the shard's speed
+/// (at least one second).
+fn reserve_request(shard: &Shard, job: &SimJob) -> (u32, f64) {
+    let procs = job.procs.min(shard.spec.procs).max(1);
+    let dur = shard.scaled_runtime(job.estimate.max(job.work)).max(1.0);
+    (procs, dur)
+}
+
+/// One shard's advisory reservation calendar: the step function of
+/// processors promised over time, kept as a load change at each breakpoint.
 ///
-/// One O(R log R) sweep over the calendar's breakpoints: the reserved count
-/// is a step function, so a window is feasible iff every breakpoint interval
-/// it covers is — the sweep tracks the earliest still-open candidate start
-/// and restarts it past any overloaded interval. (The naive alternative —
-/// stepping a probe time and re-scanning the reservation list per step — is
-/// O(steps · R²) per job and dominated fleet runs.)
-fn earliest_window(shard: &Shard, from: f64, dur: f64, procs: u32) -> Option<f64> {
-    let cap = shard.spec.procs;
-    if procs > cap {
-        return None;
+/// Booking a window adds its processors at `start` and removes them at
+/// `end`; expiring folds every breakpoint up to the epoch boundary into one
+/// base load, so the index holds only the breakpoints still ahead. A probe
+/// therefore costs O(log R) plus the breakpoints it passes, allocates
+/// nothing, and never re-sorts. Probes and bookings must not reach back
+/// before the last expiry (the epoch loop only looks forward).
+#[derive(Debug, Default)]
+pub(crate) struct AdvisoryCalendar {
+    /// Processors promised at the last expiry instant and until the first
+    /// breakpoint after it.
+    base: i64,
+    /// Load change at each breakpoint, keyed by the time's IEEE bits (times
+    /// are never negative, so bit order is time order). Changes that cancel
+    /// out are removed, so no entry is zero.
+    deltas: BTreeMap<u64, i64>,
+}
+
+impl AdvisoryCalendar {
+    /// Promise `procs` processors for `[start, end)`. The caller has found
+    /// the window with [`AdvisoryCalendar::earliest_window`], so it fits.
+    pub(crate) fn book(&mut self, start: f64, end: f64, procs: u32) {
+        self.add(start, i64::from(procs));
+        self.add(end, -i64::from(procs));
     }
-    // Breakpoints of the reserved-count step function at or after `from`.
-    let mut events: Vec<(f64, i64)> = Vec::new();
-    for r in &shard.calendar.reservations {
-        if r.end <= from {
-            continue;
-        }
-        events.push((r.start.max(from), r.procs as i64));
-        events.push((r.end, -(r.procs as i64)));
-    }
-    if events.is_empty() {
-        return Some(from);
-    }
-    events.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut load = 0i64;
-    let mut candidate = from;
-    let mut i = 0;
-    while i < events.len() {
-        let t = events[i].0;
-        // A feasible run long enough to hold the whole window ends the search.
-        if t - candidate >= dur {
-            return Some(candidate);
-        }
-        while i < events.len() && events[i].0 == t {
-            load += events[i].1;
-            i += 1;
-        }
-        if load + procs as i64 > cap as i64 {
-            // Overloaded from t until the next breakpoint: any window
-            // overlapping it is infeasible, so the candidate restarts at the
-            // next load change.
-            candidate = match events.get(i) {
-                Some(&(next, _)) => next,
-                None => return None, // overloaded with no later release: corrupt calendar
-            };
-            if candidate - from > RESERVE_HORIZON {
-                return None;
+
+    fn add(&mut self, t: f64, delta: i64) {
+        debug_assert!(
+            t >= 0.0 && t.is_sign_positive(),
+            "breakpoint at negative time {t}"
+        );
+        match self.deltas.entry(t.to_bits()) {
+            Entry::Vacant(e) => {
+                e.insert(delta);
+            }
+            Entry::Occupied(mut e) => {
+                *e.get_mut() += delta;
+                if *e.get() == 0 {
+                    e.remove();
+                }
             }
         }
     }
-    // Past the last breakpoint the calendar is empty.
-    Some(candidate)
+
+    /// Fold every breakpoint at or before `now` into the base load.
+    pub(crate) fn expire(&mut self, now: f64) {
+        while let Some(e) = self.deltas.first_entry() {
+            if f64::from_bits(*e.key()) > now {
+                break;
+            }
+            self.base += e.remove();
+        }
+    }
+
+    /// The earliest window at or after `from` where `procs` more processors
+    /// fit under `cap` for `dur > 0` seconds, or `None` when nothing fits
+    /// within [`RESERVE_HORIZON`] of `from`.
+    ///
+    /// One sweep over the breakpoints in time order, starting from the load
+    /// at `from` (the base plus every change at or before it): a window is
+    /// feasible iff every breakpoint interval it covers is, so the sweep
+    /// keeps the earliest still-open candidate start and restarts it at the
+    /// next breakpoint past any overloaded interval.
+    pub(crate) fn earliest_window(&self, from: f64, dur: f64, procs: u32, cap: u32) -> Option<f64> {
+        if procs > cap {
+            return None;
+        }
+        let limit = i64::from(cap - procs);
+        let bits = from.to_bits();
+        let at_from: i64 = self.deltas.range(..=bits).map(|(_, &d)| d).sum();
+        let ahead = self.deltas.range((Excluded(bits), Unbounded));
+        let mut steps = std::iter::once((from, at_from))
+            .chain(ahead.map(|(&t, &d)| (f64::from_bits(t), d)))
+            .peekable();
+        let mut load = self.base;
+        let mut candidate = from;
+        while let Some((t, delta)) = steps.next() {
+            // A feasible run long enough to hold the whole window ends the search.
+            if t - candidate >= dur {
+                return Some(candidate);
+            }
+            load += delta;
+            if load > limit {
+                // Overloaded from t until the next breakpoint: any window
+                // overlapping it is infeasible, so the candidate restarts at
+                // the next load change (none left: a corrupt calendar).
+                candidate = steps.peek()?.0;
+                if candidate - from > RESERVE_HORIZON {
+                    return None;
+                }
+            }
+        }
+        // Past the last breakpoint the calendar is empty.
+        Some(candidate)
+    }
+
+    /// Breakpoints still ahead of the last expiry.
+    #[cfg(test)]
+    fn breakpoints(&self) -> usize {
+        self.deltas.len()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::shard::{standard_shard_fleet, Shard};
+    use psbench_sim::Cluster;
 
     fn fleet(n: usize) -> Vec<Shard> {
         standard_shard_fleet(n, "fcfs")
@@ -370,41 +437,126 @@ mod tests {
             shards[pick].submit(&job, i + 1, 0.0).unwrap();
             d.note_submitted(&shards, pick);
         }
-        let booked: usize = shards.iter().map(|s| s.calendar.reservations.len()).sum();
+        let booked: usize = shards.iter().map(|s| s.calendar.breakpoints()).sum();
         assert!(booked > 0, "reserve policy must book windows");
+    }
+
+    /// The sort-sweep the calendar index replaced, kept as its oracle: it
+    /// collects the reservations still open at `from` (starts clamped to
+    /// `from`), sorts their breakpoints and sweeps them with the same
+    /// candidate-restart rule.
+    fn sort_sweep_oracle(calendar: &Cluster, from: f64, dur: f64, procs: u32) -> Option<f64> {
+        let cap = calendar.total_procs;
+        if procs > cap {
+            return None;
+        }
+        let mut events: Vec<(f64, i64)> = Vec::new();
+        for r in &calendar.reservations {
+            if r.end <= from {
+                continue;
+            }
+            events.push((r.start.max(from), r.procs as i64));
+            events.push((r.end, -(r.procs as i64)));
+        }
+        if events.is_empty() {
+            return Some(from);
+        }
+        events.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut load = 0i64;
+        let mut candidate = from;
+        let mut i = 0;
+        while i < events.len() {
+            let t = events[i].0;
+            if t - candidate >= dur {
+                return Some(candidate);
+            }
+            while i < events.len() && events[i].0 == t {
+                load += events[i].1;
+                i += 1;
+            }
+            if load + procs as i64 > cap as i64 {
+                candidate = events.get(i)?.0;
+                if candidate - from > RESERVE_HORIZON {
+                    return None;
+                }
+            }
+        }
+        Some(candidate)
+    }
+
+    /// An advisory calendar and a [`Cluster`] mirror holding the same
+    /// bookings: a window is booked in both or in neither.
+    struct Mirrored {
+        calendar: AdvisoryCalendar,
+        mirror: Cluster,
+    }
+
+    impl Mirrored {
+        fn new(cap: u32) -> Self {
+            Mirrored {
+                calendar: AdvisoryCalendar::default(),
+                mirror: Cluster::new(cap),
+            }
+        }
+
+        fn book(&mut self, start: f64, end: f64, procs: u32) -> bool {
+            let booked = self.mirror.try_reserve(start, end, procs).is_some();
+            if booked {
+                self.calendar.book(start, end, procs);
+            }
+            booked
+        }
+
+        fn expire(&mut self, now: f64) {
+            self.calendar.expire(now);
+            self.mirror.expire_reservations(now);
+        }
+
+        /// Probe both; the index must answer bit-for-bit like the oracle.
+        fn probe(&self, from: f64, dur: f64, procs: u32) -> Option<f64> {
+            let cap = self.mirror.total_procs;
+            let got = self.calendar.earliest_window(from, dur, procs, cap);
+            let want = sort_sweep_oracle(&self.mirror, from, dur, procs);
+            assert_eq!(
+                got.map(f64::to_bits),
+                want.map(f64::to_bits),
+                "probe from {from} for {procs} procs x {dur} s: index {got:?}, oracle {want:?}"
+            );
+            got
+        }
     }
 
     #[test]
     fn earliest_window_sweep_matches_the_calendar_oracle() {
-        // Differential check: the O(R log R) sweep must agree with the
-        // cluster's own max_reserved_during at every breakpoint-derived
-        // candidate start, on a deterministic pseudo-random calendar.
-        let mut shard = fleet(1).pop().unwrap();
-        let cap = shard.spec.procs;
+        // The probe must agree with the cluster's own max_reserved_during at
+        // every breakpoint-derived candidate start, on a deterministic
+        // pseudo-random calendar.
+        let cap = fleet(1)[0].spec.procs;
+        let mut cal = Mirrored::new(cap);
         let mut h = 12345u64;
         for _ in 0..60 {
             h = splitmix64(h);
             let start = (h % 100_000) as f64;
             let dur = 600.0 + (h % 7) as f64 * 3600.0;
             let procs = 1 + (h % (cap as u64 / 2)) as u32;
-            shard.calendar.try_reserve(start, start + dur, procs);
+            cal.book(start, start + dur, procs);
         }
+        let calendar = &cal.mirror;
         for probe in 0..40u64 {
             let from = (probe * 2_500) as f64;
             let dur = 1_800.0 + (probe % 5) as f64 * 3_600.0;
             let procs = 1 + (splitmix64(probe) % cap as u64) as u32;
-            let got = earliest_window(&shard, from, dur, procs);
+            let got = cal.probe(from, dur, procs);
             if let Some(t) = got {
                 assert!(t >= from);
                 assert!(
-                    shard.calendar.max_reserved_during(t, t + dur) + procs <= cap,
+                    calendar.max_reserved_during(t, t + dur) + procs <= cap,
                     "window at {t} overbooks"
                 );
                 // Earliest: every breakpoint-derived start strictly before it
                 // must be infeasible (starts between breakpoints can only see
                 // equal or higher load than the breakpoint preceding them).
-                let mut earlier: Vec<f64> = shard
-                    .calendar
+                let mut earlier: Vec<f64> = calendar
                     .reservations
                     .iter()
                     .map(|r| r.end)
@@ -413,17 +565,113 @@ mod tests {
                 earlier.push(from);
                 for &s in earlier.iter().filter(|&&s| s < t) {
                     assert!(
-                        shard.calendar.max_reserved_during(s, s + dur) + procs > cap,
+                        calendar.max_reserved_during(s, s + dur) + procs > cap,
                         "earlier start {s} was feasible but sweep chose {t}"
                     );
                 }
             } else {
                 assert!(
-                    shard.calendar.max_reserved_during(from, from + dur) + procs > cap,
+                    calendar.max_reserved_during(from, from + dur) + procs > cap,
                     "sweep gave up but the window at {from} was free"
                 );
             }
         }
+    }
+
+    #[test]
+    fn calendar_edge_cases_match_the_oracle() {
+        let mut cal = Mirrored::new(64);
+        // Zero-net breakpoint at 100: [0, 100) and [100, 200) of equal width.
+        assert!(cal.book(0.0, 100.0, 64) && cal.book(100.0, 200.0, 64));
+        assert_eq!(cal.calendar.breakpoints(), 2, "the +64/-64 at 100 cancel");
+        assert_eq!(cal.probe(0.0, 10.0, 1), Some(200.0));
+        assert_eq!(cal.probe(100.0, 10.0, 1), Some(200.0));
+        assert_eq!(cal.probe(0.0, 10.0, 65), None, "procs > cap");
+        // A window ending a quarter second past the expiry boundary still
+        // blocks probes from that boundary.
+        assert!(cal.book(200.0, 300.25, 40));
+        cal.expire(300.0);
+        assert_eq!(cal.probe(300.0, 10.0, 30), Some(300.25));
+        assert_eq!(cal.probe(300.0, 10.0, 24), Some(300.0));
+        // A probe from well past the last expiry folds everything before it.
+        assert!(cal.book(5_000.0, 6_000.0, 64));
+        assert_eq!(cal.probe(5_500.0, 10.0, 1), Some(6_000.0));
+        // A full machine for longer than the horizon: nothing fits in reach.
+        assert!(cal.book(7_000.0, 7_000.0 + 2.0 * RESERVE_HORIZON, 64));
+        assert_eq!(cal.probe(7_000.0, 10.0, 1), None);
+        assert_eq!(cal.probe(6_000.0, 1_000.0, 1), Some(6_000.0));
+        assert_eq!(cal.probe(6_000.0, 1_001.0, 1), None);
+    }
+
+    #[test]
+    fn calendar_index_matches_the_sort_sweep_oracle_under_random_use() {
+        // Random book / expire / probe sequences in epoch-loop order. Times
+        // sit on a one-minute grid so breakpoints, probe starts and expiry
+        // instants coincide often.
+        let mut stats = [0usize; 4]; // probes, found, past horizon, zero-net pairs
+        for seed in 0..40u64 {
+            let mut h = splitmix64(seed);
+            let mut rand = |m: u64| {
+                h = splitmix64(h);
+                h % m
+            };
+            let cap = [64u32, 128, 96][seed as usize % 3];
+            let epoch = [600.0, 3600.0][seed as usize % 2];
+            let mut cal = Mirrored::new(cap);
+            let mut now = 0.0f64;
+            for _ in 0..300 {
+                match rand(20) {
+                    // Dispatch: probe at the boundary and book what it found
+                    // — the booking must fit, as `pick` assumes.
+                    0..=9 => {
+                        let procs = 1 + rand(cap as u64 + 8) as u32; // some > cap
+                        let mut dur = 60.0 * (1 + rand(600)) as f64;
+                        match rand(4) {
+                            0 => dur *= 1.37, // off the grid
+                            1 => dur += 0.25, // ends just past a boundary
+                            _ => {}
+                        }
+                        stats[0] += 1;
+                        if let Some(start) = cal.probe(now, dur, procs) {
+                            stats[1] += 1;
+                            assert!(
+                                cal.book(start, start + dur, procs),
+                                "probed window overbooks"
+                            );
+                        }
+                    }
+                    // Zero-net breakpoint: one window ends exactly where an
+                    // equal-width one starts.
+                    10..=12 => {
+                        let a = now + 60.0 * rand(200) as f64;
+                        let w = 60.0 * (1 + rand(100)) as f64;
+                        let procs = 1 + rand(cap as u64) as u32;
+                        if cal.book(a, a + w, procs) && cal.book(a + w, a + 2.0 * w, procs) {
+                            stats[3] += 1;
+                        }
+                    }
+                    // A long full-machine window: probes that must overlap
+                    // it restart past the horizon.
+                    13 => {
+                        let a = now + 60.0 * rand(100) as f64;
+                        cal.book(a, a + RESERVE_HORIZON * 1.5, cap);
+                        let hit = cal.probe(a, 3600.0, 1 + rand(cap as u64) as u32);
+                        stats[2] += usize::from(hit.is_none());
+                    }
+                    // Epoch boundary: expire, then sometimes skip many
+                    // epochs, so the next probe starts well past the expiry.
+                    _ => {
+                        let skip = if rand(3) == 0 { 1 + rand(400) } else { 1 };
+                        cal.expire(now + epoch);
+                        now += epoch * skip as f64;
+                    }
+                }
+            }
+        }
+        let [probes, found, horizon, zero_net] = stats;
+        assert!(probes > 3000 && found > 1000, "{stats:?}");
+        assert!(found < probes, "some probes must fail (procs > cap)");
+        assert!(horizon > 0 && zero_net > 0, "{stats:?}");
     }
 
     #[test]

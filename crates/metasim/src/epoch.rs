@@ -16,8 +16,11 @@
 //!    under the configured [`DispatchPolicy`] and submitted with its original
 //!    submit time.
 //! 3. **Advance** (parallel): every shard advances its engine to `t1`
-//!    independently — shards share nothing mid-epoch, so this fans out over
-//!    [`parallel_map_mut`] with zero synchronization beyond the barrier.
+//!    independently — shards share nothing mid-epoch, so this is one round
+//!    of a [`Gang`](psbench_harness::Gang) spawned once per run: its threads
+//!    claim shards from a work-stealing counter (site sizes are unbalanced).
+//!    The driving thread waits only for shards another thread has claimed,
+//!    never for a worker to wake up.
 //! 4. **Merge** (driving thread): completions are harvested in ascending
 //!    site-id order and appended to the global stream.
 //!
@@ -50,7 +53,7 @@
 
 use crate::dispatch::{DispatchPolicy, Dispatcher};
 use crate::shard::{Shard, ShardSpec};
-use psbench_harness::parallel_map_mut;
+use psbench_harness::with_gang;
 use psbench_sched::UnknownScheduler;
 use psbench_sim::{FinishedJob, SimJob, SimulationResult};
 use psbench_store::{result_fingerprint, Fnv128, MetaSummary};
@@ -281,7 +284,7 @@ pub fn run_metasystem(
         .map(Shard::new)
         .collect::<Result<Vec<_>, _>>()?;
     let n = shards.len();
-    let threads = cfg.threads.max(1);
+    let threads = cfg.threads.clamp(1, n);
 
     // Global arrival order: (submit, id).
     let mut order: Vec<u32> = (0..jobs.len() as u32).collect();
@@ -331,135 +334,139 @@ pub fn run_metasystem(
         }
     };
 
-    loop {
-        let t0 = k as f64 * cfg.epoch_len;
-        let t1 = (k + 1) as f64 * cfg.epoch_len;
+    let advance = |shard: &mut Shard, frontier: f64| shard.advance_to(frontier);
+    with_gang(threads, &advance, |gang| {
+        loop {
+            let t0 = k as f64 * cfg.epoch_len;
+            let t1 = (k + 1) as f64 * cfg.epoch_len;
 
-        // Phase 1a: sites coming back up by t0.
-        while ei < ends.len() && ends[ei].0 <= t0 {
-            let site = ends[ei].1 as usize;
-            ei += 1;
-            if site < n && down_count[site] > 0 {
-                down_count[site] -= 1;
-                if down_count[site] == 0 {
-                    down[site] = false;
-                }
-            }
-        }
-        // Phase 1b: sites going down by t0 — cancel their backlogs for
-        // re-dispatch. Transition order is (time, site id): deterministic.
-        let mut freshly_migrated: Vec<u64> = Vec::new();
-        while si < starts.len() && starts[si].0 <= t0 {
-            let site = starts[si].1 as usize;
-            si += 1;
-            if site >= n {
-                continue;
-            }
-            down_count[site] += 1;
-            if down_count[site] == 1 {
-                down[site] = true;
-                // Withdraw the backlog in arrival order. Each cancellation
-                // consults the local policy, which may react by *starting*
-                // a later queued job at this very instant — the local
-                // scheduler keeps running its machine and wins that race;
-                // such jobs ride out the outage like any running job.
-                for engine_id in shards[site].queued_engine_ids() {
-                    match shards[site].cancel(engine_id) {
-                        Ok(()) => freshly_migrated.push(engine_id % MIGRATION_BAND),
-                        Err(psbench_sim::OnlineError::JobRunning(_)) => {}
-                        Err(e) => panic!("withdrawing queued job {engine_id}: {e:?}"),
+            // Phase 1a: sites coming back up by t0.
+            while ei < ends.len() && ends[ei].0 <= t0 {
+                let site = ends[ei].1 as usize;
+                ei += 1;
+                if site < n && down_count[site] > 0 {
+                    down_count[site] -= 1;
+                    if down_count[site] == 0 {
+                        down[site] = false;
                     }
                 }
             }
-        }
-
-        // Phase 2: dispatch. Routing state reflects the quiescent fleet at t0.
-        dispatcher.begin_epoch(&shards, &down);
-        let mut redispatch = std::mem::take(&mut parked);
-        redispatch.extend(freshly_migrated);
-        for orig in redispatch {
-            let entry = origin.get_mut(&orig).expect("migrated job has an origin");
-            let job = &jobs[entry.0 as usize];
-            match dispatcher.pick(&mut shards, &down, job, t0) {
-                Some(i) => {
-                    entry.1 += 1;
-                    migrations += 1;
-                    let engine_id = orig + entry.1 as u64 * MIGRATION_BAND;
-                    shards[i]
-                        .submit(job, engine_id, t0)
-                        .expect("boundary submit is never in the released past");
-                    dispatcher.note_submitted(&shards, i);
+            // Phase 1b: sites going down by t0 — cancel their backlogs for
+            // re-dispatch. Transition order is (time, site id): deterministic.
+            let mut freshly_migrated: Vec<u64> = Vec::new();
+            while si < starts.len() && starts[si].0 <= t0 {
+                let site = starts[si].1 as usize;
+                si += 1;
+                if site >= n {
+                    continue;
                 }
-                None => parked.push(orig),
-            }
-        }
-        while cursor < order.len() {
-            let idx = order[cursor] as usize;
-            let job = &jobs[idx];
-            let at = job.submit.max(0.0);
-            if at >= t1 {
-                break;
-            }
-            cursor += 1;
-            let orig = job.id;
-            assert!(
-                orig < MIGRATION_BAND,
-                "job id {orig} exceeds the migration band"
-            );
-            origin.insert(orig, (idx as u32, 0));
-            dispatched += 1;
-            match dispatcher.pick(&mut shards, &down, job, t0) {
-                Some(i) => {
-                    shards[i]
-                        .submit(job, orig, at)
-                        .expect("epoch arrivals are never in the released past");
-                    dispatcher.note_submitted(&shards, i);
+                down_count[site] += 1;
+                if down_count[site] == 1 {
+                    down[site] = true;
+                    // Withdraw the backlog in arrival order. Each cancellation
+                    // consults the local policy, which may react by *starting*
+                    // a later queued job at this very instant — the local
+                    // scheduler keeps running its machine and wins that race;
+                    // such jobs ride out the outage like any running job.
+                    for engine_id in shards[site].queued_engine_ids() {
+                        match shards[site].cancel(engine_id) {
+                            Ok(()) => freshly_migrated.push(engine_id % MIGRATION_BAND),
+                            Err(psbench_sim::OnlineError::JobRunning(_)) => {}
+                            Err(e) => panic!("withdrawing queued job {engine_id}: {e:?}"),
+                        }
+                    }
                 }
-                None => parked.push(orig),
+            }
+
+            // Phase 2: dispatch. Routing state reflects the quiescent fleet at t0.
+            dispatcher.begin_epoch(&shards, &down);
+            let mut redispatch = std::mem::take(&mut parked);
+            redispatch.extend(freshly_migrated);
+            for orig in redispatch {
+                let entry = origin.get_mut(&orig).expect("migrated job has an origin");
+                let job = &jobs[entry.0 as usize];
+                match dispatcher.pick(&mut shards, &down, job, t0) {
+                    Some(i) => {
+                        entry.1 += 1;
+                        migrations += 1;
+                        let engine_id = orig + entry.1 as u64 * MIGRATION_BAND;
+                        shards[i]
+                            .submit(job, engine_id, t0)
+                            .expect("boundary submit is never in the released past");
+                        dispatcher.note_submitted(&shards, i);
+                    }
+                    None => parked.push(orig),
+                }
+            }
+            while cursor < order.len() {
+                let idx = order[cursor] as usize;
+                let job = &jobs[idx];
+                let at = job.submit.max(0.0);
+                if at >= t1 {
+                    break;
+                }
+                cursor += 1;
+                let orig = job.id;
+                assert!(
+                    orig < MIGRATION_BAND,
+                    "job id {orig} exceeds the migration band"
+                );
+                origin.insert(orig, (idx as u32, 0));
+                dispatched += 1;
+                match dispatcher.pick(&mut shards, &down, job, t0) {
+                    Some(i) => {
+                        shards[i]
+                            .submit(job, orig, at)
+                            .expect("epoch arrivals are never in the released past");
+                        dispatcher.note_submitted(&shards, i);
+                    }
+                    None => parked.push(orig),
+                }
+            }
+
+            // Phase 2½: stop once no dispatch decision can ever be needed again.
+            if cursor >= order.len() && si >= starts.len() {
+                if parked.is_empty() {
+                    break;
+                }
+                if ei >= ends.len() {
+                    // Every site is down forever; parked jobs can never run.
+                    break;
+                }
+            }
+
+            // Phase 3: the parallel advance — shard-local, zero cross-talk.
+            gang.run(&mut shards, t1);
+
+            // Phase 4: deterministic merge in site-id order.
+            harvest_into(&mut shards, &mut merged, &origin);
+            // Every later probe and booking starts at or after t1.
+            for shard in shards.iter_mut() {
+                shard.calendar.expire(t1);
+            }
+            epochs += 1;
+
+            // Next boundary, jumping stretches where nothing is due.
+            k += 1;
+            let mut next_due = f64::INFINITY;
+            if cursor < order.len() {
+                next_due = next_due.min(jobs[order[cursor] as usize].submit.max(0.0));
+            }
+            if si < starts.len() {
+                next_due = next_due.min(starts[si].0);
+            }
+            if ei < ends.len() && (!parked.is_empty() || cursor < order.len()) {
+                next_due = next_due.min(ends[ei].0);
+            }
+            if next_due.is_finite() {
+                let due_k = (next_due.max(0.0) / cfg.epoch_len).floor() as u64;
+                k = k.max(due_k);
             }
         }
 
-        // Phase 2½: stop once no dispatch decision can ever be needed again.
-        if cursor >= order.len() && si >= starts.len() {
-            if parked.is_empty() {
-                break;
-            }
-            if ei >= ends.len() {
-                // Every site is down forever; parked jobs can never run.
-                break;
-            }
-        }
-
-        // Phase 3: the parallel advance — shard-local, zero cross-talk.
-        parallel_map_mut(&mut shards, threads, |_, s| s.advance_to(t1));
-
-        // Phase 4: deterministic merge in site-id order.
-        harvest_into(&mut shards, &mut merged, &origin);
-        for shard in shards.iter_mut() {
-            shard.calendar.expire_reservations(t1);
-        }
-        epochs += 1;
-
-        // Next boundary, jumping stretches where nothing is due.
-        k += 1;
-        let mut next_due = f64::INFINITY;
-        if cursor < order.len() {
-            next_due = next_due.min(jobs[order[cursor] as usize].submit.max(0.0));
-        }
-        if si < starts.len() {
-            next_due = next_due.min(starts[si].0);
-        }
-        if ei < ends.len() && (!parked.is_empty() || cursor < order.len()) {
-            next_due = next_due.min(ends[ei].0);
-        }
-        if next_due.is_finite() {
-            let due_k = (next_due.max(0.0) / cfg.epoch_len).floor() as u64;
-            k = k.max(due_k);
-        }
-    }
-
-    // Final drain: all dispatch decisions are made; run every shard dry.
-    parallel_map_mut(&mut shards, threads, |_, s| s.advance_to(f64::INFINITY));
+        // Final drain: all dispatch decisions are made; run every shard dry.
+        gang.run(&mut shards, f64::INFINITY);
+    });
     harvest_into(&mut shards, &mut merged, &origin);
 
     let mut result = SimulationResult {

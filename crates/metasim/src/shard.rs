@@ -9,10 +9,10 @@
 //! decision happens at epoch boundaries on the driving thread (see
 //! [`crate::epoch`]) — which is what makes the fleet embarrassingly parallel.
 
+use crate::dispatch::AdvisoryCalendar;
 use psbench_sched::{by_name, UnknownScheduler};
 use psbench_sim::{
-    Cluster, FinishedJob, JobQueue, OnlineError, Scheduler, SimConfig, SimJob, Simulation,
-    SimulationResult,
+    FinishedJob, JobQueue, OnlineError, Scheduler, SimConfig, SimJob, Simulation, SimulationResult,
 };
 use serde::{Deserialize, Serialize};
 
@@ -65,11 +65,13 @@ pub struct Shard {
     pub spec: ShardSpec,
     sim: Simulation,
     policy: Box<dyn Scheduler>,
-    /// Advisory reservation calendar for co-allocating dispatch policies.
-    /// Separate from the engine (local policies keep full control of their
-    /// machine); bookings model the negotiation of Section 3.1 and steer
-    /// [`crate::dispatch::DispatchPolicy::Reserve`] away from booked sites.
-    pub calendar: Cluster,
+    /// Advisory reservation calendar for co-allocating dispatch policies: an
+    /// indexed step function of promised processors, probed without sorting
+    /// or allocating. Separate from the engine (local policies keep full
+    /// control of their machine); bookings model the negotiation of Section
+    /// 3.1 and steer [`crate::dispatch::DispatchPolicy::Reserve`] away from
+    /// booked sites. The epoch loop expires it at every boundary.
+    pub(crate) calendar: AdvisoryCalendar,
     /// Processors demanded by jobs dispatched this epoch whose arrival events
     /// have not fired yet — they are in the engine but not in its queue, so
     /// queue aggregates alone would undercount pressure mid-dispatch. Reset
@@ -86,7 +88,7 @@ impl Shard {
         let mut sim = Simulation::new_online(SimConfig::new(spec.procs));
         sim.begin(policy.as_mut());
         Ok(Shard {
-            calendar: Cluster::new(spec.procs.max(1)),
+            calendar: AdvisoryCalendar::default(),
             sim,
             policy,
             inflight: 0,

@@ -111,8 +111,16 @@ impl Cluster {
     /// Try to book an advance reservation. The booking succeeds if, at every instant
     /// of the window, the newly reserved processors plus already-reserved processors
     /// fit within the *total* machine (outages are not predictable, so the promise
-    /// is made against nominal capacity). Returns the reservation id on success.
+    /// is made against nominal capacity). Returns the reservation id on success,
+    /// and `None` for an empty, non-finite or unsatisfiable window.
+    ///
+    /// The booking goes after every reservation with an equal or earlier start,
+    /// which keeps [`Cluster::reservations`] in start order and equal starts in
+    /// booking order.
     pub fn try_reserve(&mut self, start: f64, end: f64, procs: u32) -> Option<u64> {
+        if !start.is_finite() || !end.is_finite() {
+            return None;
+        }
         if end <= start || procs == 0 || procs > self.total_procs {
             return None;
         }
@@ -122,14 +130,16 @@ impl Cluster {
         }
         let id = self.next_reservation_id;
         self.next_reservation_id += 1;
-        self.reservations.push(Reservation {
-            id,
-            start,
-            end,
-            procs,
-        });
-        self.reservations
-            .sort_by(|a, b| a.start.partial_cmp(&b.start).unwrap());
+        let at = self.reservations.partition_point(|r| r.start <= start);
+        self.reservations.insert(
+            at,
+            Reservation {
+                id,
+                start,
+                end,
+                procs,
+            },
+        );
         Some(id)
     }
 
@@ -223,6 +233,34 @@ mod tests {
         c.expire_reservations(45.0);
         assert!(c.reservations.is_empty());
         let _ = id2;
+    }
+
+    #[test]
+    fn booking_rejects_non_finite_windows() {
+        let mut c = Cluster::new(64);
+        for (start, end) in [
+            (f64::NAN, 100.0),
+            (0.0, f64::NAN),
+            (f64::NAN, f64::NAN),
+            (0.0, f64::INFINITY),
+            (f64::NEG_INFINITY, 100.0),
+        ] {
+            assert!(c.try_reserve(start, end, 8).is_none(), "[{start}, {end})");
+        }
+        assert!(c.reservations.is_empty());
+        assert!(c.try_reserve(0.0, 100.0, 8).is_some());
+    }
+
+    #[test]
+    fn equal_starts_keep_booking_order() {
+        let mut c = Cluster::new(64);
+        let a = c.try_reserve(100.0, 200.0, 4).unwrap();
+        let b = c.try_reserve(50.0, 300.0, 4).unwrap();
+        let d = c.try_reserve(100.0, 150.0, 4).unwrap();
+        let e = c.try_reserve(100.0, 400.0, 4).unwrap();
+        let f = c.try_reserve(120.0, 130.0, 4).unwrap();
+        let order: Vec<u64> = c.reservations.iter().map(|r| r.id).collect();
+        assert_eq!(order, vec![b, a, d, e, f]);
     }
 
     #[test]

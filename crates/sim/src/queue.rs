@@ -344,8 +344,8 @@ impl Arena {
         self.gather(n.right, after, bound, out);
     }
 
-    /// Number of nodes in the subtree (debug helper; O(n)).
-    #[cfg(debug_assertions)]
+    /// Number of nodes in the subtree (invariant-check helper; O(n)).
+    #[cfg(any(test, debug_assertions))]
     fn count(&self, t: u32) -> usize {
         if t == NIL {
             return 0;
@@ -355,8 +355,8 @@ impl Arena {
     }
 
     /// Verify every node's `min_est` equals the true subtree minimum and the
-    /// heap property holds (debug helper; O(n)).
-    #[cfg(debug_assertions)]
+    /// heap property holds (invariant-check helper; O(n)).
+    #[cfg(any(test, debug_assertions))]
     fn check_min_est(&self, t: u32) -> u64 {
         if t == NIL {
             return u64::MAX;
@@ -364,7 +364,7 @@ impl Arena {
         let n = &self.nodes[t as usize];
         for c in [n.left, n.right] {
             if c != NIL {
-                debug_assert!(
+                assert!(
                     self.nodes[c as usize].prio <= n.prio,
                     "treap heap property violated"
                 );
@@ -374,7 +374,7 @@ impl Arena {
             .est
             .min(self.check_min_est(n.left))
             .min(self.check_min_est(n.right));
-        debug_assert_eq!(n.min_est, want, "min_est pull-up drifted");
+        assert_eq!(n.min_est, want, "min_est pull-up drifted");
         want
     }
 }
@@ -1020,23 +1020,27 @@ impl JobQueue {
         }
     }
 
-    #[cfg(debug_assertions)]
+    /// Assert every structural invariant of the queue against a fresh
+    /// linear recomputation. Compiled for tests in any profile, so
+    /// `cargo test --release` checks them too; the engine calls it only in
+    /// debug builds.
+    #[cfg(any(test, debug_assertions))]
     pub(crate) fn check_invariants(&self) {
-        debug_assert!(self.slots[..self.head].iter().all(Option::is_none));
-        debug_assert_eq!(self.slots.len(), self.keys.len());
+        assert!(self.slots[..self.head].iter().all(Option::is_none));
+        assert_eq!(self.slots.len(), self.keys.len());
         let live: Vec<&QueuedJob> = self.iter().collect();
-        debug_assert_eq!(live.len(), self.len());
+        assert_eq!(live.len(), self.len());
         for w in live.windows(2) {
-            debug_assert!(key_of(w[0]) < key_of(w[1]), "queue out of order");
+            assert!(key_of(w[0]) < key_of(w[1]), "queue out of order");
         }
         let keys: Vec<QueueKey> = self.iter_keys().copied().collect();
         let of_live: Vec<QueueKey> = live.iter().map(|q| QueueKey::of(q)).collect();
-        debug_assert_eq!(keys, of_live, "iter_keys disagrees with iter");
+        assert_eq!(keys, of_live, "iter_keys disagrees with iter");
         for (id, &i) in &self.index {
-            debug_assert_eq!(self.slots[i].as_ref().map(|q| q.job.id), Some(*id));
+            assert_eq!(self.slots[i].as_ref().map(|q| q.job.id), Some(*id));
         }
         for (s, k) in self.slots.iter().zip(self.keys.iter()) {
-            debug_assert_eq!(
+            assert_eq!(
                 s.as_ref().map(QueueKey::of).unwrap_or(QueueKey::TOMBSTONE),
                 *k,
                 "keys out of sync with slots"
@@ -1047,18 +1051,18 @@ impl JobQueue {
         // below the main run's high-water key, disjoint from the main run,
         // and within its size bound.
         for (&key, (k, q)) in &self.side {
-            debug_assert_eq!(key, key_of(q), "side key disagrees with its job");
-            debug_assert_eq!(*k, QueueKey::of(q), "side QueueKey out of sync");
-            debug_assert_eq!(self.side_index.get(&q.job.id), Some(&key.0));
-            debug_assert!(self.max_key.is_some_and(|m| key <= m));
-            debug_assert!(
+            assert_eq!(key, key_of(q), "side key disagrees with its job");
+            assert_eq!(*k, QueueKey::of(q), "side QueueKey out of sync");
+            assert_eq!(self.side_index.get(&q.job.id), Some(&key.0));
+            assert!(self.max_key.is_some_and(|m| key <= m));
+            assert!(
                 !self.index.contains_key(&q.job.id),
                 "job {} in both runs",
                 q.job.id
             );
         }
-        debug_assert_eq!(self.side_index.len(), self.side.len());
-        debug_assert!(self.side.len() <= 32 + self.len() / 8);
+        assert_eq!(self.side_index.len(), self.side.len());
+        assert!(self.side.len() <= 32 + self.len() / 8);
         // Backlog-index invariants: one treap entry per live job in its
         // procs bucket, no stale entries, no empty buckets, exact min_est
         // pull-ups, arrival-sorted in-order traversal.
@@ -1067,9 +1071,9 @@ impl JobQueue {
             .values()
             .map(|&root| self.arena.count(root))
             .sum();
-        debug_assert_eq!(indexed, self.len(), "backlog index size drifted");
+        assert_eq!(indexed, self.len(), "backlog index size drifted");
         let live_demand: u64 = live.iter().map(|q| q.job.procs as u64).sum();
-        debug_assert_eq!(
+        assert_eq!(
             self.demanded, live_demand,
             "demanded-procs aggregate drifted"
         );
@@ -1077,22 +1081,22 @@ impl JobQueue {
         for q in &live {
             *live_widths.entry(q.job.procs).or_insert(0) += 1;
         }
-        debug_assert_eq!(self.widths, live_widths, "width histogram drifted");
-        debug_assert!(
+        assert_eq!(self.widths, live_widths, "width histogram drifted");
+        assert!(
             self.by_procs.values().all(|&root| root != NIL),
             "empty backlog-index bucket retained"
         );
         for (&procs, &root) in &self.by_procs {
             let mut entries = Vec::new();
             self.arena.gather(root, None, u64::MAX, &mut entries);
-            debug_assert!(
+            assert!(
                 entries
                     .windows(2)
                     .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
                 "bucket {procs} treap out of arrival order"
             );
             let min = entries.iter().map(|e| e.2).min().unwrap_or(u64::MAX);
-            debug_assert_eq!(
+            assert_eq!(
                 self.arena.nodes[root as usize].min_est, min,
                 "bucket {procs} min_est drifted"
             );
@@ -1100,7 +1104,7 @@ impl JobQueue {
         }
         for q in self.iter() {
             let (arr, jid, est) = index_entry(q);
-            debug_assert!(
+            assert!(
                 self.by_procs.get(&q.job.procs).is_some_and(|&root| {
                     let mut hits = Vec::new();
                     self.arena.gather(root, None, u64::MAX, &mut hits);
