@@ -75,7 +75,9 @@
 //! * `drain` runs the engine to completion and is final: afterwards only
 //!   `trace` and `bye` remain meaningful. With a store configured, the
 //!   drained trace + result are published under the offline cell key, so
-//!   `psbench simulate --store` of the exported trace is a cache hit. If
+//!   `psbench simulate --store` of the exported trace is a cache hit. A
+//!   session that applied a `cancel` is not published (its trace cannot
+//!   express the cancel), and its reply has no `stored=`. If
 //!   publishing fails, `drain` replies `err` and may be retried — the
 //!   finished result is retained, never recomputed or lost.
 //! * Malformed lines, unknown commands, and invalid arguments get

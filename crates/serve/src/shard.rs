@@ -61,6 +61,9 @@ pub struct Shard {
     /// A finished result whose store publication failed: kept so `drain` is
     /// retryable instead of silently losing the run.
     pending_drain: Option<SimulationResult>,
+    /// Successful cancels applied so far. The exported trace cannot express
+    /// a cancel, so a session with any is never published to the store.
+    cancels: u64,
 }
 
 /// The outcome of draining a shard: the completed run plus, when a store was
@@ -89,6 +92,7 @@ impl Shard {
             store_dir: config.store_dir.clone(),
             session_name,
             pending_drain: None,
+            cancels: 0,
         })
     }
 
@@ -276,7 +280,9 @@ impl Shard {
         }
         engine
             .apply(policy, OnlineOp::Cancel(id))
-            .map_err(|e| e.to_string())
+            .map_err(|e| e.to_string())?;
+        self.cancels += 1;
+        Ok(())
     }
 
     /// Release session time up to `to`. Returns the engine's resulting clock.
@@ -371,6 +377,10 @@ impl Shard {
     /// under the same cell key the offline memoized path uses, so a later
     /// `psbench simulate --store` of the exported trace is a cache hit.
     ///
+    /// A session that applied a cancel is not published: its trace still
+    /// carries the cancelled job, so the trace's cell key would name a result
+    /// the trace does not produce. Its drain reports no store key.
+    ///
     /// If publication fails the finished result is retained and the next
     /// `drain` retries the publish with the identical result — a flaky disk
     /// can delay the reply but never lose or change the run.
@@ -391,7 +401,7 @@ impl Shard {
     }
 
     fn publish(&self, result: &SimulationResult) -> Result<Option<String>, String> {
-        let Some(dir) = &self.store_dir else {
+        let Some(dir) = self.store_dir.as_ref().filter(|_| self.cancels == 0) else {
             return Ok(None);
         };
         let store = ArtifactStore::open(dir).map_err(|e| format!("store: {e}"))?;
@@ -506,6 +516,34 @@ mod tests {
         assert!(shard.submit(2, None, 5, 1, None, None).is_err());
         // The trace is still readable after draining.
         assert_eq!(shard.record_count(), 1);
+    }
+
+    #[test]
+    fn a_session_that_cancelled_is_not_published() {
+        let dir = std::env::temp_dir().join(format!("psbench-shard-cancel-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ShardConfig {
+            scheduler: "fcfs".into(),
+            machine: 64,
+            mode: ClockMode::Afap,
+            store_dir: Some(dir.clone()),
+        };
+        let mut shard = Shard::new(&config, "cancelled".into()).unwrap();
+        shard.submit(1, Some(0), 100, 64, None, None).unwrap();
+        shard.submit(2, Some(10), 50, 8, None, None).unwrap();
+        // A failed cancel changes nothing; job 2 waits behind job 1, so its
+        // cancel succeeds.
+        shard.cancel_at(99, None).unwrap_err();
+        shard.cancel_at(2, None).unwrap();
+        let drained = shard.drain().unwrap();
+        assert_eq!(drained.result.finished.len(), 1);
+        assert!(
+            drained.stored.is_none(),
+            "a cancelled session was published"
+        );
+        let store = ArtifactStore::open(&dir).unwrap();
+        assert!(store.ls().unwrap().is_empty(), "the store stays empty");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

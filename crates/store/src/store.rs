@@ -272,16 +272,21 @@ impl ArtifactStore {
     /// Fetch a memoized result; `Ok(None)` when absent, `Err` with
     /// [`io::ErrorKind::InvalidData`] when present but corrupt or stale.
     pub fn get_result(&self, key: u128) -> io::Result<Option<SimulationResult>> {
-        Ok(self.get_result_with_fingerprint(key)?.map(|(r, _)| r))
+        match self.get_string(ArtifactKind::Result, key)? {
+            None => Ok(None),
+            Some(text) => codec::decode_result(&text).map(Some).map_err(invalid_data),
+        }
     }
 
     /// Fetch a memoized result together with the FNV-1a fingerprint of its
     /// stored encoding — the same value [`result_fingerprint`] computes,
-    /// without re-encoding: stored bytes *are* the canonical encoding
-    /// (`encode(decode(text)) == text`, property-tested), so hashing them is
-    /// equivalent and additionally pins the actual on-disk bytes.
+    /// without re-encoding. This holds for every file it returns `Ok` for:
+    /// [`decode_result`] accepts only the canonical encoding, so the stored
+    /// bytes *are* `encode(decode(text))` (property-tested), and hashing them
+    /// is equivalent and additionally pins the actual on-disk bytes.
     ///
     /// [`result_fingerprint`]: crate::codec::result_fingerprint
+    /// [`decode_result`]: crate::codec::decode_result
     pub fn get_result_with_fingerprint(
         &self,
         key: u128,
@@ -661,6 +666,23 @@ mod tests {
         // gc is idempotent.
         assert_eq!(store.gc().unwrap().removed, 0);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn verify_flags_each_non_canonical_result() {
+        let text = codec::tests::canonical_text();
+        for (what, variant) in codec::tests::non_canonical_variants(&text) {
+            let dir = scratch("verify-canonical");
+            let store = ArtifactStore::open(&dir).unwrap();
+            fs::write(store.path(ArtifactKind::Result, 7), &text).unwrap();
+            assert!(store.verify().unwrap().problems.is_empty());
+            assert!(codec::decode_result(&variant).is_err(), "{what} decodes");
+            fs::write(store.path(ArtifactKind::Result, 7), &variant).unwrap();
+            let report = store.verify().unwrap();
+            assert_eq!(report.problems.len(), 1, "{what}: {:?}", report.problems);
+            assert_eq!(report.ok, 0, "{what}");
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

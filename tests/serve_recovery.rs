@@ -4,7 +4,8 @@
 //! to an offline `psbench simulate` of the trace the session exported. Plus:
 //! SIGTERM drains to a checkpoint and exits cleanly, and a sweep under a
 //! `PSBENCH_FAULTS` plan either completes correctly or fails loudly while
-//! `store verify` stays clean.
+//! `store verify` stays clean. A session that cancelled a job publishes
+//! nothing to the store.
 
 #![cfg(unix)]
 
@@ -26,6 +27,11 @@ fn scratch_dir(name: &str) -> PathBuf {
 /// Spawn `psbench serve` on an ephemeral port and parse the bound address
 /// from its `listening on …` line.
 fn spawn_serve(state_dir: &Path) -> (Child, SocketAddr) {
+    spawn_serve_with(state_dir, &[])
+}
+
+/// [`spawn_serve`] with extra `serve` arguments.
+fn spawn_serve_with(state_dir: &Path, extra: &[&str]) -> (Child, SocketAddr) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_psbench"))
         .args([
             "serve",
@@ -38,6 +44,7 @@ fn spawn_serve(state_dir: &Path) -> (Child, SocketAddr) {
             "--state-dir",
             state_dir.to_str().unwrap(),
         ])
+        .args(extra)
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -302,5 +309,84 @@ fn faulted_sweeps_fail_loudly_and_the_store_stays_verifiable() {
     // but with these seeds at least one run should actually have failed,
     // or the matrix is not exercising the error path at all.
     assert!(failures > 0, "no faulted run failed; raise the rates");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A cancel is not expressible in the exported trace, so a drained session
+/// that cancelled a job must not publish its result under the trace's cell
+/// key: a later `psbench simulate --store` of that trace would be a cache hit
+/// returning a result the trace does not produce.
+#[test]
+fn a_session_that_cancelled_publishes_nothing_under_its_trace_key() {
+    use psbench::store::{fingerprint_source, ArtifactKind, ArtifactStore};
+
+    let dir = scratch_dir("cancel-store");
+    let store_dir = dir.join("store");
+    let (child, addr) = spawn_serve_with(
+        &dir.join("state"),
+        &["--store", store_dir.to_str().unwrap()],
+    );
+    let transcript = run_script(
+        addr,
+        &[
+            "hello psbench-serve/1 session=cancels",
+            "submit id=1 submit=0 runtime=900 procs=64 seq=1",
+            // Waits behind the full-machine job, so it is still queued.
+            "submit id=2 submit=30 runtime=300 procs=16 seq=2",
+            "cancel id=2 seq=3",
+            "trace",
+            "drain seq=4",
+            "bye",
+        ],
+    )
+    .expect("session runs");
+    assert!(!transcript.has_errors(), "{:?}", transcript.replies);
+    assert!(transcript.replies[3].starts_with("ok cancel"));
+    let drain = transcript.payload("drain").expect("drain payload").clone();
+    assert!(
+        !drain.head.contains("stored="),
+        "a cancelled session was published: {}",
+        drain.head
+    );
+    let trace = transcript.payload("trace").expect("trace payload").clone();
+    kill_term(&child);
+    wait_clean(child);
+
+    let text = String::from_utf8(trace.body.clone()).unwrap();
+    let log = psbench::swf::parse_str(&text, &psbench::swf::ParseOptions::default()).unwrap();
+    let trace_fp = fingerprint_source(log.as_source("cancels")).unwrap();
+    let cell = psbench::core::trace_cell_key(trace_fp, "easy", 64, false);
+    let store = ArtifactStore::open(&store_dir).unwrap();
+    assert!(
+        !store.has(ArtifactKind::Result, cell),
+        "the store holds a result under the cancelled session's trace key"
+    );
+
+    // And the store-backed offline run of the trace computes the trace's own
+    // result instead of returning the drained one.
+    let trace_path = dir.join("cancels.swf");
+    std::fs::write(&trace_path, &trace.body).unwrap();
+    let simulate = |extra: &[&str], out: &str| {
+        let path = dir.join(out);
+        let mut args = vec![
+            "simulate",
+            trace_path.to_str().unwrap(),
+            "--scheduler",
+            "easy",
+            "--out",
+            path.to_str().unwrap(),
+        ];
+        args.extend_from_slice(extra);
+        let run = psbench(&args);
+        assert!(
+            run.status.success(),
+            "simulate failed: {}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+        std::fs::read(path).unwrap()
+    };
+    let offline = simulate(&[], "offline.md");
+    let warm = simulate(&["--store", store_dir.to_str().unwrap()], "warm.md");
+    assert_eq!(offline, warm, "store-backed simulate of the trace drifted");
     let _ = std::fs::remove_dir_all(&dir);
 }
